@@ -14,7 +14,9 @@ with a drop-in sequence that enforces a **hard memory budget**:
   track is a fixed-size uniform reservoir (Algorithm R with a seeded
   RNG, so sampling is deterministic).  The total never exceeds the
   budget again — if a new track appears after saturation, room is made
-  by shrinking the largest reservoir.
+  by shrinking the largest reservoir (ties go to the earliest-created
+  track).  An index of tracks by reservoir length finds that victim in
+  constant time, however many tracks there are.
 * Optionally every completed span is **spilled** to a JSONL file as it
   closes (``spill_path``), so full fidelity lives on disk while RAM
   holds the bounded sample.
@@ -26,6 +28,7 @@ expressed in bytes, which is what operators actually configure.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import json
 import random
@@ -92,18 +95,27 @@ class SpanStoreStats:
 
 
 class _TrackSample:
-    """Head + reservoir sample of one track (sampling mode only)."""
+    """Head + reservoir sample of one track (sampling mode only).
 
-    __slots__ = ("head", "reservoir", "tail_seen")
+    Samples order by ``rank``, the track's creation index, so the
+    eviction index can keep each length bucket sorted with ``bisect``.
+    """
 
-    def __init__(self) -> None:
+    __slots__ = ("head", "reservoir", "tail_seen", "rank")
+
+    def __init__(self, rank: int) -> None:
         self.head: List[SpanRecord] = []
         self.reservoir: List[SpanRecord] = []
         #: tail (non-head) spans observed so far, kept or not
         self.tail_seen = 0
+        #: position of the track in the store's creation order
+        self.rank = rank
 
     def __len__(self) -> int:
         return len(self.head) + len(self.reservoir)
+
+    def __lt__(self, other: "_TrackSample") -> bool:
+        return self.rank < other.rank
 
 
 class SpanStore:
@@ -118,8 +130,13 @@ class SpanStore:
         self.budget = budget or SpanBudget()
         #: lossless mode storage (append order)
         self._all: List[SpanRecord] = []
-        #: sampling mode storage, keyed by track
+        #: sampling mode storage, keyed by track in creation order
         self._tracks: Dict[str, _TrackSample] = {}
+        #: eviction index (sampling mode): ``_by_len[n]`` holds the
+        #: tracks whose reservoir has exactly ``n`` spans, sorted by rank
+        self._by_len: List[List[_TrackSample]] = []
+        #: upper bound on the longest indexed reservoir
+        self._top = 0
         self._sampling = False
         self._kept = 0
         self.recorded = 0
@@ -162,6 +179,8 @@ class SpanStore:
         """Drop every kept span and reset the retention counters."""
         self._all.clear()
         self._tracks.clear()
+        self._by_len = []
+        self._top = 0
         self._sampling = False
         self._kept = 0
         self.recorded = 0
@@ -216,7 +235,9 @@ class SpanStore:
         head_n = self.budget.per_track_head
         res_n = self.budget.per_track_reservoir
         for rec in self._all:
-            sample = self._tracks.setdefault(rec.track, _TrackSample())
+            sample = self._tracks.get(rec.track)
+            if sample is None:
+                sample = self._tracks[rec.track] = _TrackSample(len(self._tracks))
             if len(sample.head) < head_n:
                 sample.head.append(rec)
             else:
@@ -229,12 +250,17 @@ class SpanStore:
                         sample.reservoir[j] = rec
         self._all = []
         self._kept = sum(len(s) for s in self._tracks.values())
+        self._by_len = [[] for _ in range(res_n + 1)]
+        for sample in self._tracks.values():  # rank order: buckets stay sorted
+            self._by_len[len(sample.reservoir)].append(sample)
+        self._top = res_n
         self._shrink_to_budget()
 
     def _admit(self, rec: SpanRecord) -> None:
         sample = self._tracks.get(rec.track)
         if sample is None:
-            sample = self._tracks[rec.track] = _TrackSample()
+            sample = self._tracks[rec.track] = _TrackSample(len(self._tracks))
+            self._by_len[0].append(sample)  # the newest track has the top rank
         if len(sample.head) < self.budget.per_track_head:
             if self._make_room(exempt=sample):
                 sample.head.append(rec)
@@ -243,6 +269,7 @@ class SpanStore:
         sample.tail_seen += 1
         if len(sample.reservoir) < self.budget.per_track_reservoir:
             if self._make_room(exempt=sample):
+                self._reindex(sample, +1)
                 sample.reservoir.append(rec)
                 self._kept += 1
             return
@@ -261,17 +288,44 @@ class SpanStore:
         """
         if self._kept < self.budget.max_spans:
             return True
-        victim = None
-        for sample in self._tracks.values():
-            if sample is exempt or not sample.reservoir:
-                continue
-            if victim is None or len(sample.reservoir) > len(victim.reservoir):
-                victim = sample
+        victim = self._victim(exempt)
         if victim is None:
             return False
+        self._reindex(victim, -1)
         victim.reservoir.pop(self._rng.randrange(len(victim.reservoir)))
         self._kept -= 1
         return True
+
+    def _victim(self, exempt: Optional[_TrackSample]) -> Optional[_TrackSample]:
+        """The largest non-empty reservoir other than ``exempt``.
+
+        Ties go to the earliest-created track, which is the track a
+        linear scan of ``_tracks`` in insertion order would pick.  Only
+        one track is exempt, so at most two entries per bucket are read.
+        """
+        by_len = self._by_len
+        n = self._top
+        while n and not by_len[n]:
+            n -= 1
+        self._top = n
+        while n:
+            for sample in by_len[n][:2]:
+                if sample is not exempt:
+                    return sample
+            n -= 1
+        return None
+
+    def _reindex(self, sample: _TrackSample, step: int) -> None:
+        """Move ``sample`` to the bucket of its reservoir length + ``step``.
+
+        Call before the reservoir grows or shrinks by one span.
+        """
+        n = len(sample.reservoir)
+        bucket = self._by_len[n]
+        del bucket[bisect.bisect_left(bucket, sample)]
+        bisect.insort(self._by_len[n + step], sample)
+        if n + step > self._top:
+            self._top = n + step
 
     def _shrink_to_budget(self) -> None:
         while self._kept > self.budget.max_spans:

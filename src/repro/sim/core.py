@@ -10,20 +10,42 @@ plumbing.  Determinism is preserved because the scheduler hands control
 to exactly one thread at a time and wake order is the strict total
 order ``(time, sequence_number)``.
 
-Control handoff protocol::
+Control handoff protocol
+------------------------
+Control passes between the scheduler thread and the task threads
+through two kinds of raw binary :class:`threading.Lock`, each created
+*already acquired*: ``Simulator._sched`` (the scheduler's baton) and
+one ``Task._resume`` per task (that task's baton).  Releasing a lock
+hands control over; acquiring it parks until control comes back::
 
-    scheduler                         task thread
-    ---------                         -----------
+    scheduler                          task thread T
+    ---------                          -------------
     pop event (t, seq, resume T)
-    now = t
-    T._resume_evt.set()  ──────────►  returns from _block()/starts fn
-    wait _sched_evt                   ... runs simulated code ...
-                                      blocks: state=BLOCKED
-    ◄──────────  _sched_evt.set()     waits on _resume_evt
+    now = t; _current = T
+    T._resume.release()  ──────────►   T._resume.acquire() returns
+    _sched.acquire()  (parks)          ... runs simulated code ...
+                                       blocks: state=BLOCKED,
+                                       _current = None
+                       ◄──────────     _sched.release()
+    _sched.acquire() returns           T._resume.acquire()  (parks)
     continue loop
 
-Only the scheduler **or** the single running task ever touches
-simulator state, so no further locking is needed.
+A task that finishes releases ``_sched`` from its thread's ``finally``
+instead of parking again.
+
+Why this is deterministic: every release is followed by an acquire of
+the *other* party's lock, and every lock starts held, so releases and
+acquires strictly alternate between the scheduler and one task.  At
+any instant exactly one of {the scheduler, one task} is runnable and
+every other thread is parked in ``acquire()``; OS scheduling can only
+delay that one thread, never choose among several.  Only the runnable
+party touches simulator state, so no further locking is needed, and
+the wake order is exactly the event order ``(time, seq)``.  A plain
+``threading.Lock`` (unlike ``RLock``) may legally be released by a
+thread that did not acquire it, which is what lets each side release
+the baton the other side holds.  Compared with a pair of
+``threading.Event`` objects, a handoff is one release and one acquire
+on existing locks: no per-wait waiter lock, no ``Condition``.
 
 Scalability (1024+ ranks): SPMD programs generate large bursts of
 events at identical timestamps — every barrier release, collective
@@ -54,6 +76,10 @@ from time import perf_counter
 from typing import Any, Callable, List, Optional
 
 from repro.util.errors import DeadlockError, SimulationError
+
+#: host seconds :meth:`Simulator.close` waits for one killed task to
+#: unwind, and for each task thread to exit
+CLOSE_TIMEOUT_S = 5.0
 
 
 class _Kill(BaseException):
@@ -104,7 +130,9 @@ class Task:
         self._kwargs = kwargs
         self._wake_value: Any = None
         self._kill = False
-        self._resume_evt = threading.Event()
+        #: this task's baton: held while parked, released to resume it
+        self._resume = threading.Lock()
+        self._resume.acquire()
         self._join_waiters: List[Any] = []  # Futures fired on completion
         #: True once the task's error was raised in at least one live
         #: joiner — a delivered error is handled there, not by run()
@@ -122,8 +150,7 @@ class Task:
 
     def _thread_body(self) -> None:
         # Park until the scheduler gives us control for the first time.
-        self._resume_evt.wait()
-        self._resume_evt.clear()
+        self._resume.acquire()
         sim = self.sim
         try:
             if self._kill:
@@ -139,7 +166,7 @@ class Task:
         finally:
             self._finish_waiters()
             sim._current = None
-            sim._sched_evt.set()
+            sim._sched.release()
 
     def _finish_waiters(self) -> None:
         """Complete the join futures according to the final state."""
@@ -250,7 +277,10 @@ class Simulator:
         self._buckets: dict = {}  # time -> deque of (seq, kind, payload)
         self._tasks: List[Task] = []
         self._current: Optional[Task] = None
-        self._sched_evt = threading.Event()
+        #: the scheduler's baton: held while a task runs, released by
+        #: that task when it blocks or finishes (see module docstring)
+        self._sched = threading.Lock()
+        self._sched.acquire()
         self._in_run = False
         self._closed = False
         #: double-completions suppressed by deferred Future fire/fail
@@ -317,12 +347,15 @@ class Simulator:
             raise SimulationError(
                 "blocking simulation primitive called outside a simulated task"
             )
+        if self._closed:
+            # A task unwinding in close() may not park again: nothing
+            # would ever resume it.
+            raise _Kill()
         task.state = TaskState.BLOCKED
         task.wait_reason = reason
         self._current = None
-        self._sched_evt.set()
-        task._resume_evt.wait()
-        task._resume_evt.clear()
+        self._sched.release()
+        task._resume.acquire()
         if task._kill:
             raise _Kill()
         task.state = TaskState.RUNNING
@@ -349,11 +382,10 @@ class Simulator:
 
     def _give_control(self, task: Task) -> None:
         self._current = task
-        self._sched_evt.clear()
         if task._thread is None:
             task._start_thread()
-        task._resume_evt.set()
-        self._sched_evt.wait()
+        task._resume.release()
+        self._sched.acquire()
         if task.state is TaskState.FAILED and not task._error_delivered:
             err = task.error
             self.close()
@@ -435,9 +467,17 @@ class Simulator:
 
         Idempotent.  Called automatically when :meth:`run` completes or
         a task fails; call it manually after a bounded ``run(until=...)``.
+        Killed tasks unwind one at a time in spawn order, each under the
+        same handoff as a normal resume, so their ``finally`` blocks
+        never overlap.  Raises :class:`SimulationError` when called from
+        inside a task, or when a task takes longer than
+        :data:`CLOSE_TIMEOUT_S` to unwind.
         """
         if self._closed:
             return
+        current = self._current
+        if current is not None and threading.current_thread() is current._thread:
+            raise SimulationError(f"close() called from inside task {current.name}")
         self._closed = True
         for task in self._tasks:
             if task.finished:
@@ -448,10 +488,15 @@ class Simulator:
                 # there is no thread to unwind.
                 task.state = TaskState.KILLED
                 continue
-            task._resume_evt.set()
+            self._current = task
+            task._resume.release()
+            if not self._sched.acquire(timeout=CLOSE_TIMEOUT_S):
+                raise SimulationError(
+                    f"task {task.name} did not unwind within {CLOSE_TIMEOUT_S:g} s"
+                )
         for task in self._tasks:
             if task._thread is not None:
-                task._thread.join(timeout=5.0)
+                task._thread.join(timeout=CLOSE_TIMEOUT_S)
 
     def __enter__(self) -> "Simulator":
         return self

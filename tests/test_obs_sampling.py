@@ -1,8 +1,10 @@
 """Bounded-memory span collection: budgets, sampling, spill."""
 
+import itertools
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.obs.sampling import (
     SPAN_COST_BYTES,
@@ -158,7 +160,9 @@ class TestSpill:
         store = SpanStore(budget(8, spill_path=path))
         store.append(span(0))
         store.flush()
-        doc = json.loads(open(path).read().strip())
+        with open(path) as fh:
+            doc = json.loads(fh.read().strip())
+        store.close()
         assert doc["name"] == "op" and doc["span_id"] == 1
 
 
@@ -185,3 +189,81 @@ class TestProfilerIntegration:
         assert back.start == rec.start
         assert back.span_id == rec.span_id
         assert back.links == rec.links
+
+
+class ScanStore(SpanStore):
+    """The store with the original linear-scan victim selection: the
+    largest non-empty reservoir other than ``exempt``, first in track
+    creation order on ties."""
+
+    def _victim(self, exempt):
+        victim = None
+        for sample in self._tracks.values():
+            if sample is exempt or not sample.reservoir:
+                continue
+            if victim is None or len(sample.reservoir) > len(victim.reservoir):
+                victim = sample
+        return victim
+
+
+budgets = st.builds(
+    lambda max_spans, head, res, seed: budget(
+        max_spans, per_track_head=head, per_track_reservoir=res, seed=seed
+    ),
+    max_spans=st.integers(1, 24),
+    head=st.integers(0, 4),
+    res=st.integers(1, 6),
+    seed=st.integers(0, 3),
+)
+
+# A few hot tracks (listed twice for weight) plus a long tail of rare
+# ones: skewed load, and new tracks keep appearing after saturation.
+tracks = st.one_of(st.integers(0, 2), st.integers(0, 2), st.integers(0, 30))
+
+# Bursts of spans (listed twice for weight), so most streams saturate
+# their budget and evict.
+ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("spans"), st.lists(tracks, min_size=1, max_size=60)),
+        st.tuples(st.just("spans"), st.lists(tracks, min_size=1, max_size=60)),
+        st.tuples(st.just("budget"), budgets),
+        st.tuples(st.just("clear"), st.none()),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+class TestEvictionIndex:
+    """The length index must evict exactly what the linear scan did."""
+
+    @given(initial=budgets, stream=ops)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_linear_scan(self, initial, stream):
+        fast, ref = SpanStore(initial), ScanStore(initial)
+        ids = itertools.count()
+        for op, arg in stream:
+            if op == "spans":
+                for track in arg:
+                    rec = span(next(ids), track=f"rank{track}")
+                    fast.append(rec)
+                    ref.append(rec)
+            elif op == "budget":
+                fast.set_budget(arg)
+                ref.set_budget(arg)
+            else:
+                fast.clear()
+                ref.clear()
+            assert [r.span_id for r in fast] == [r.span_id for r in ref]
+            assert fast.stats() == ref.stats()
+
+    def test_ties_go_to_the_earliest_track(self):
+        # Saturate with equal reservoirs, then open a new track: the
+        # victim is the first-created track, as the scan picks it.
+        store = SpanStore(budget(6, per_track_head=0, per_track_reservoir=2))
+        for i in range(6):
+            store.append(span(i, track=f"rank{i % 3}"))
+        store.append(span(6, track="rank0"))  # enters sampling
+        store.append(span(7, track="new"))
+        sizes = {t: len(s.reservoir) for t, s in store._tracks.items()}
+        assert sizes == {"rank0": 1, "rank1": 2, "rank2": 2, "new": 1}

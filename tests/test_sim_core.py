@@ -1,8 +1,10 @@
 """Tests for the discrete-event simulation kernel."""
 
+import time
+
 import pytest
 
-from repro.sim import Simulator, TaskState
+from repro.sim import Simulator, TaskState, core
 from repro.util.errors import DeadlockError, SimulationError
 
 
@@ -248,6 +250,86 @@ class TestBoundedRun:
             sim.spawn(lambda: sim.sleep(10.0))
             sim.run(until=1.0)
         # leaving the with-block kills the sleeper without error
+
+
+class TestTeardown:
+    def test_killed_finally_blocks_run_in_spawn_order_without_overlap(self):
+        # Regression: close() used to wake every blocked task at once,
+        # so their unwinds ran concurrently on shared state.
+        sim = Simulator()
+        log, active, overlap = [], [0], []
+
+        def prog(i):
+            try:
+                sim.sleep(10.0)
+            finally:
+                active[0] += 1
+                overlap.append(active[0])
+                log.append(("enter", i))
+                time.sleep(0.002)  # widen any race window
+                log.append(("exit", i))
+                active[0] -= 1
+
+        tasks = [sim.spawn(prog, i, name=f"t{i}") for i in (3, 0, 2, 1)]
+        sim.run(until=1.0)
+        sim.close()
+        order = [i for step, i in log if step == "enter"]
+        assert order == [3, 0, 2, 1]  # spawn order, not name order
+        assert log == [(step, i) for i in order for step in ("enter", "exit")]
+        assert max(overlap) == 1
+        assert all(t.state is TaskState.KILLED for t in tasks)
+        assert not any(t._thread.is_alive() for t in tasks)
+
+    def test_close_from_inside_a_task_raises(self):
+        sim = Simulator()
+        caught = []
+
+        def prog():
+            try:
+                sim.close()
+            except SimulationError as exc:
+                caught.append(str(exc))
+
+        sim.spawn(prog, name="closer")
+        sim.run()
+        assert len(caught) == 1 and "closer" in caught[0]
+        assert sim.closed
+
+    def test_killed_task_cannot_block_again_while_unwinding(self):
+        sim = Simulator()
+        reached = []
+
+        def prog():
+            try:
+                sim.sleep(10.0)
+            finally:
+                reached.append("finally")
+                sim.sleep(1.0)  # nothing could ever resume this
+                reached.append("after")  # pragma: no cover
+
+        task = sim.spawn(prog)
+        sim.run(until=1.0)
+        sim.close()
+        assert reached == ["finally"]
+        assert task.state is TaskState.KILLED
+        assert not task._thread.is_alive()
+
+    def test_slow_unwind_raises_instead_of_hanging(self, monkeypatch):
+        monkeypatch.setattr(core, "CLOSE_TIMEOUT_S", 0.05)
+        sim = Simulator()
+
+        def prog():
+            try:
+                sim.sleep(10.0)
+            finally:
+                time.sleep(0.5)
+
+        task = sim.spawn(prog, name="slowpoke")
+        sim.run(until=1.0)
+        with pytest.raises(SimulationError, match="slowpoke"):
+            sim.close()
+        task._thread.join(timeout=5.0)
+        assert not task._thread.is_alive()
 
 
 class TestJoinErrorPropagation:

@@ -1,5 +1,8 @@
 """Stress and property tests for the simulation kernel."""
 
+import sys
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -164,3 +167,67 @@ class TestSchedulerStress:
             sim.run()
         # All task threads joined at close().
         assert threading.active_count() <= baseline + 2
+
+
+class TestHandoffUnderPreemption:
+    """The lock handoff with more threads than cores and a tiny GIL
+    switch interval: the interpreter preempts constantly, yet only one
+    party may ever run and the resume order must not change."""
+
+    N_TASKS = 64
+    ROUNDS = 12
+
+    def _run(self):
+        sim = Simulator()
+        bar = Barrier(sim, self.N_TASKS)
+        rng = np.random.default_rng(3)
+        delays = rng.choice([0.0, 1e-6, 2e-6], size=(self.N_TASKS, self.ROUNDS))
+        running = [0]
+        peak = [0]
+        trace = []
+
+        def enter():
+            # Read-modify-write spread over several bytecodes, so a
+            # second runnable thread would interleave with it.
+            n = running[0] + 1
+            running[0] = n
+            peak[0] = max(peak[0], n)
+
+        def leave():
+            running[0] -= 1
+
+        def tick():
+            enter()
+            leave()
+
+        def worker(i):
+            name = sim.current_task.name
+            for r in range(self.ROUNDS):
+                enter()
+                trace.append((sim.now, name))
+                if r % 4 == 3:
+                    sim.call_later(1e-6, tick)
+                leave()
+                sim.sleep(float(delays[i, r]))
+                if r % 6 == 5:
+                    bar.wait()
+
+        for i in range(self.N_TASKS):
+            sim.spawn(worker, i, name=f"w{i}")
+        sim.run()
+        return trace, peak[0]
+
+    def test_one_runner_and_identical_resume_trace(self):
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            t0 = time.perf_counter()
+            first, peak1 = self._run()
+            second, peak2 = self._run()
+            elapsed = time.perf_counter() - t0
+        finally:
+            sys.setswitchinterval(old)
+        assert peak1 == peak2 == 1
+        assert len(first) == self.N_TASKS * self.ROUNDS
+        assert first == second
+        assert elapsed < 60.0
