@@ -7,7 +7,7 @@ ping phase that exercises the second-level pointer cache.  It writes
 
 * ``out.json`` — a Chrome trace-event file (load it at ui.perfetto.dev
   or chrome://tracing): one track per rank with the nested RMA /
-  collective spans, plus an instant-event track from the Tracer,
+  collective spans, plus flow arrows between causally linked spans,
 * ``out.metrics.json`` — the full metrics snapshot (per-path RMA
   bytes, pointer-cache hit rate, stream-pool high-water marks, ...),
 
@@ -86,7 +86,6 @@ def write_profile(out_path: str, pcfg: Optional[ProfileConfig] = None) -> SpmdRe
     world = res.world
     nevents = world.obs.write_chrome_trace(
         out_path,
-        tracer=world.tracer,
         metadata={"workload": "cannon+asym-ping", "nranks": world.nranks},
     )
     stem = out_path[:-5] if out_path.endswith(".json") else out_path

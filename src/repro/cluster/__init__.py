@@ -2,7 +2,8 @@
 
 :class:`~repro.cluster.world.World` instantiates everything a run
 needs — simulator, topology, fabric, one :class:`~repro.device.Device`
-per GPU, peer-access manager, tracer — and places *ranks* on nodes.
+per GPU, peer-access manager, observability — and places *ranks* on
+nodes.
 :func:`~repro.cluster.spmd.run_spmd` is the ``mpiexec`` analogue: it
 spawns one simulated task per rank, runs the program to completion and
 returns results plus the elapsed virtual time.

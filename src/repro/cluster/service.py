@@ -60,7 +60,7 @@ from repro.obs.slo import (
 )
 from repro.obs.timeseries import TimeSeries, WindowSpec
 from repro.sim import Barrier, Future
-from repro.util.errors import ConfigurationError, PercentileError
+from repro.util.errors import ConfigurationError
 from repro.util.units import MiB
 
 
@@ -136,9 +136,9 @@ class _TenantFabric:
 class TenantView:
     """One job's gang, duck-typing :class:`World` for the runtime stack.
 
-    Shares the world's simulator, topology, platform, tracer, and
-    device objects (hardware is real and shared); owns everything that
-    must not leak across tenants — rank contexts, observability, peer
+    Shares the world's simulator, topology, platform, and device
+    objects (hardware is real and shared); owns everything that must
+    not leak across tenants — rank contexts, observability, peer
     access bookkeeping, the gang barrier, and the fault scope.
     """
 
@@ -170,7 +170,6 @@ class TenantView:
         self.platform = world.platform
         self.sim = world.sim
         self.topology = world.topology
-        self.tracer = world.tracer
         self.fabric = _TenantFabric(world.fabric, self)
         # Tenant-owned state.
         self.obs = obs if obs is not None else Observability()
@@ -375,19 +374,13 @@ class ServiceResult:
         """Exact queue-wait percentile (``q`` in [0, 1]) over completed
         and failed jobs — the latency an *admitted* job experienced.
 
-        Raises :class:`~repro.util.errors.PercentileError` (a subclass
-        of both :class:`ConfigurationError` and :class:`ValueError` —
-        the unified taxonomy shared with
-        :func:`repro.obs.rollup.exact_percentile`) when ``q`` is
-        outside [0, 1].  Returns 0.0 (by definition, not by
-        measurement) when no job was admitted — an all-rejected or
-        empty run has no wait samples.
+        Delegates to :func:`repro.obs.rollup.exact_percentile`, so a
+        ``q`` outside [0, 1] raises
+        :class:`~repro.util.errors.PercentileError`, and a run with no
+        admitted job (all rejected, or empty) returns 0.0 — by
+        definition, not by measurement: it has no wait samples.
         """
-        if not 0.0 <= q <= 1.0:
-            raise PercentileError(f"percentile q must be in [0, 1], got {q}")
         waits = [r.queue_wait for r in self.records if r.outcome != "rejected"]
-        if not waits:
-            return 0.0
         return exact_percentile(waits, q)
 
     def tenant_rollups(self) -> Dict[str, Any]:

@@ -117,9 +117,9 @@ def run_spmd(
         obs.publish_engine()
     rollups = obs.rollup() if telemetry.rollups else None
     anomalies = None
-    # Like the Tracer identity check in World.__init__: a truthiness
-    # test would silently disable detection for an explicit-but-empty
-    # rule sequence, so test against the sentinel values instead.
+    # A truthiness test would silently disable detection for an
+    # explicit-but-empty rule sequence, so test against the sentinel
+    # values instead.
     if telemetry.anomalies is not False and telemetry.anomalies is not None:
         rules = telemetry.anomalies if telemetry.anomalies is not True else None
         anomalies = obs.detect_anomalies(rules=rules)

@@ -9,7 +9,7 @@ from repro.hardware.platforms import PlatformSpec
 from repro.hardware.topology import ClusterTopology, DeviceId
 from repro.network import Fabric
 from repro.obs import Observability
-from repro.sim import Barrier, Simulator, Tracer
+from repro.sim import Barrier, Simulator
 from repro.util.errors import ConfigurationError
 
 
@@ -74,7 +74,6 @@ class World:
         num_nodes: int,
         ranks_per_node: Optional[int] = None,
         devices_per_rank: int = 1,
-        tracer: Optional[Tracer] = None,
         obs: Optional[Observability] = None,
         faults=None,
         analytic: bool = False,
@@ -93,10 +92,6 @@ class World:
             )
         self.platform = platform
         self.sim = Simulator()
-        # Note: `tracer or Tracer()` would discard a provided-but-empty
-        # tracer (Tracer defines __len__), so test identity explicitly.
-        self.tracer = tracer if tracer is not None else Tracer()
-        self.tracer.bind_clock(lambda: self.sim.now)
         #: the world's observability layer (metrics + span profiler);
         #: pass Observability(enabled=False) to turn it off wholesale
         self.obs = obs if obs is not None else Observability()
@@ -107,11 +102,11 @@ class World:
             # wall-clock per dispatch into obs.engine (sim.* gauges).
             self.sim.profiler = engine
         self.topology: ClusterTopology = platform.cluster(num_nodes)
-        self.fabric = Fabric(self.sim, self.topology, tracer=self.tracer)
+        self.fabric = Fabric(self.sim, self.topology)
         self.peer_access = PeerAccessManager(self.topology)
         #: one Device per physical GPU, keyed by DeviceId
         self.devices: Dict[DeviceId, Device] = {
-            dev_id: Device(self.sim, dev_id, platform.node.gpu, tracer=self.tracer)
+            dev_id: Device(self.sim, dev_id, platform.node.gpu)
             for dev_id in self.topology.all_gpus()
         }
         self.ranks_per_node = ranks_per_node

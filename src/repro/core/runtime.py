@@ -304,7 +304,6 @@ class Diomp:
                 self.ctx.sim,
                 self.ctx.devices[device_num],
                 params=self.runtime.params.stream_params,
-                tracer=self.runtime.world.tracer,
                 obs=self.runtime.obs,
             )
         return self._pools[device_num]

@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence
 from repro.device.driver import Device
 from repro.device.stream import Stream
 from repro.obs import Observability
-from repro.sim import Simulator, Tracer
+from repro.sim import Simulator
 from repro.util.errors import ConfigurationError
 from repro.util.units import US
 
@@ -54,13 +54,11 @@ class StreamPool:
         sim: Simulator,
         device: Device,
         params: Optional[StreamPoolParams] = None,
-        tracer: Optional[Tracer] = None,
         obs: Optional[Observability] = None,
     ) -> None:
         self.sim = sim
         self.device = device
         self.params = params or StreamPoolParams()
-        self.tracer = tracer
         self._idle: List[Stream] = []
         self._busy: List[Stream] = []
         # -- statistics inspected by tests and the ablation bench --
@@ -134,8 +132,6 @@ class StreamPool:
         self._busy.append(stream)
         self.created += 1
         self._track_active()
-        if self.tracer is not None:
-            self.tracer.emit("streams", "create", device=str(self.device.device_id))
         return stream
 
     def _destroy_idle(self) -> None:
@@ -147,10 +143,6 @@ class StreamPool:
         if self._idle:
             self._idle = []
             self._track_active()
-            if self.tracer is not None:
-                self.tracer.emit(
-                    "streams", "destroy", device=str(self.device.device_id)
-                )
 
     def _reclaim_idle(self) -> None:
         """Move streams whose work has drained back to the idle list."""
@@ -166,8 +158,6 @@ class StreamPool:
         self.partial_syncs += 1
         if self._h_partial is not None:
             self._h_partial.observe(len(self._busy), device=self.device.device_id)
-        if self.tracer is not None:
-            self.tracer.emit("streams", "partial_sync", busy=len(self._busy))
         self._busy.sort(key=lambda s: s.available_at)
         count = max(1, int(len(self._busy) * self.params.partial_sync_fraction))
         to_sync, self._busy = self._busy[:count], self._busy[count:]
@@ -259,6 +249,4 @@ class StreamPool:
         self._track_active()
         if self._h_fence is not None:
             self._h_fence.observe(iterations, device=self.device.device_id)
-        if self.tracer is not None:
-            self.tracer.emit("streams", "hybrid_fence", iterations=iterations)
         return iterations

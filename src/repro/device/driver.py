@@ -18,26 +18,19 @@ from repro.device.memory import DeviceBuffer, DeviceMemorySpace
 from repro.device.stream import DeviceEvent, Stream
 from repro.hardware.specs import GPUSpec
 from repro.hardware.topology import ClusterTopology, DeviceId, PathKind
-from repro.sim import Future, Simulator, Tracer
+from repro.sim import Future, Simulator
 from repro.util.errors import DeviceError
 
 
 class Device:
     """One simulated GPU: memory, streams, kernel launch."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        device_id: DeviceId,
-        spec: GPUSpec,
-        tracer: Optional[Tracer] = None,
-    ) -> None:
+    def __init__(self, sim: Simulator, device_id: DeviceId, spec: GPUSpec) -> None:
         if device_id.kind != "gpu":
             raise DeviceError(f"Device requires a gpu DeviceId, got {device_id}")
         self.sim = sim
         self.device_id = device_id
         self.spec = spec
-        self.tracer = tracer
         self.memory = DeviceMemorySpace(spec.memory_bytes, device_name=str(device_id))
         self.memory.device_id = device_id
         #: the device's current fault plan; streams read it live at
@@ -54,17 +47,10 @@ class Device:
 
     def malloc(self, size: int, virtual: bool = False, label: str = "") -> DeviceBuffer:
         """Allocate device memory (``cuMemAlloc``)."""
-        buf = self.memory.allocate(size, virtual=virtual or self.analytic, label=label)
-        if self.tracer is not None:
-            self.tracer.emit(
-                "device", "malloc", device=str(self.device_id), size=size, label=label
-            )
-        return buf
+        return self.memory.allocate(size, virtual=virtual or self.analytic, label=label)
 
     def free(self, buf: DeviceBuffer) -> None:
         self.memory.free(buf)
-        if self.tracer is not None:
-            self.tracer.emit("device", "free", device=str(self.device_id), size=buf.size)
 
     # -- streams and events -------------------------------------------------
 
@@ -94,14 +80,6 @@ class Device:
         cost = kernel.cost(*(cost_args if cost_args is not None else args))
         duration = self.spec.kernel_launch_overhead + cost.duration_on(self.spec)
         self.kernels_launched += 1
-        if self.tracer is not None:
-            self.tracer.emit(
-                "device",
-                "launch",
-                device=str(self.device_id),
-                kernel=kernel.name,
-                duration=duration,
-            )
         on_complete = None
         if kernel.host_fn is not None:
             host_fn = kernel.host_fn

@@ -28,7 +28,7 @@ import dataclasses
 from typing import Callable, Dict, Optional
 
 from repro.hardware.topology import ClusterTopology, DeviceId, Path
-from repro.sim import Future, Simulator, Tracer
+from repro.sim import Future, Simulator
 from repro.util.errors import CommunicationError, FatalError, TransientError
 
 
@@ -59,15 +59,9 @@ class TransferRecord:
 class Fabric:
     """The cluster's message transport in virtual time."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        topology: ClusterTopology,
-        tracer: Optional[Tracer] = None,
-    ) -> None:
+    def __init__(self, sim: Simulator, topology: ClusterTopology) -> None:
         self.sim = sim
         self.topology = topology
-        self.tracer = tracer
         #: fault-injection plan consulted per transfer (installed by
         #: World.install_fault_plan; None = perfect fabric)
         self.faults = None
@@ -136,14 +130,6 @@ class Fabric:
             )
             if action is not None:
                 self.faults_injected += 1
-                if self.tracer is not None:
-                    self.tracer.emit(
-                        "fabric",
-                        "fault",
-                        kind=action.kind,
-                        site=action.site,
-                        op=operation,
-                    )
                 if action.kind in ("latency", "stall"):
                     # Stalls drawn at transfer level degrade to latency
                     # (the initiator may not be in task context here).
@@ -178,17 +164,6 @@ class Fabric:
         record = TransferRecord(src, dst, nbytes, operation, now, end, path)
         self.total_transfers += 1
         self.total_bytes += nbytes
-        if self.tracer is not None:
-            self.tracer.emit(
-                "fabric",
-                "transfer",
-                src=str(src),
-                dst=str(dst),
-                nbytes=nbytes,
-                op=operation,
-                kind=path.kind.value,
-                end=end,
-            )
         fut = Future(self.sim, description=f"xfer {src}->{dst} {nbytes}B")
         fut.eta = end  # type: ignore[attr-defined]
         if action is not None and action.is_failure:

@@ -10,7 +10,7 @@ It bundles
 * a :class:`~repro.obs.spans.SpanProfiler` — ``with obs.span(...)``
   timed regions on the virtual clock,
 * exporters — Chrome trace-event JSON (``chrome://tracing`` and
-  Perfetto loadable), JSONL event dumps, and a plain-text dashboard.
+  Perfetto loadable), metrics snapshots, and a plain-text dashboard.
 
 Disable it (``Observability(enabled=False)``, or
 ``World(..., obs=Observability(enabled=False))``) and every
@@ -42,14 +42,12 @@ from repro.obs.export import (
     chrome_trace,
     chrome_trace_events,
     dashboard_tables,
-    events_jsonl,
     flow_events,
     health_table,
     iter_chrome_trace_events,
     render_dashboard,
     windows_table,
     write_chrome_trace,
-    write_events_jsonl,
     write_metrics_snapshot,
 )
 from repro.obs.metrics import (
@@ -252,11 +250,11 @@ class Observability:
         """JSON-serializable snapshot of every metric family."""
         return self.registry.snapshot()
 
-    def chrome_trace(self, tracer=None, metadata: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
-        return chrome_trace(self.profiler.records, tracer, metadata)
+    def chrome_trace(self, metadata: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
+        return chrome_trace(self.profiler.records, metadata)
 
-    def write_chrome_trace(self, path: str, tracer=None, metadata: Optional[Dict[str, Any]] = None) -> int:
-        return write_chrome_trace(path, self.profiler.records, tracer, metadata)
+    def write_chrome_trace(self, path: str, metadata: Optional[Dict[str, Any]] = None) -> int:
+        return write_chrome_trace(path, self.profiler.records, metadata)
 
     def dashboard(
         self,
@@ -310,8 +308,6 @@ __all__ = [
     "flow_events",
     "write_chrome_trace",
     "write_metrics_snapshot",
-    "events_jsonl",
-    "write_events_jsonl",
     "render_dashboard",
     "dashboard_tables",
     "health_table",

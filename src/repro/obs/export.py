@@ -1,23 +1,21 @@
-"""Exporters: Chrome trace-event JSON, JSONL, and the text dashboard.
+"""Exporters: Chrome trace-event JSON, metrics snapshots, and the text
+dashboard.
 
 The Chrome trace output follows the Trace Event Format and loads
 directly in ``chrome://tracing`` or Perfetto (https://ui.perfetto.dev):
 spans become complete (``"ph": "X"``) events on one timeline per
-track, tracer records become instant (``"ph": "i"``) events, and
-metadata events name the timelines.  All timestamps are virtual time
-in microseconds.
+track, causal span links become flow (``"ph": "s"/"t"/"f"``) arrows,
+and one ``thread_name`` metadata event names each timeline.  All
+timestamps are virtual time in microseconds.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterator, List, Optional, Sequence, TYPE_CHECKING
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.spans import SpanRecord
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.trace import Tracer
 
 #: path kinds always reported in the RMA dashboard, even when unused
 RMA_PATH_KINDS = ("conduit", "ipc", "p2p", "local")
@@ -115,19 +113,16 @@ def flow_events(
 
 def iter_chrome_trace_events(
     spans: Optional[Sequence[SpanRecord]] = None,
-    tracer: Optional["Tracer"] = None,
     pid: int = 0,
 ) -> Iterator[Dict[str, Any]]:
     """Yield ``traceEvents`` one at a time (streaming-writer friendly).
 
-    Only the flow-arrow pass needs the whole span set at once; slice and
-    instant events are produced incrementally, so a streaming writer
-    never materializes the full event list.
+    Only the flow-arrow pass needs the whole span set at once; slice
+    events are produced incrementally, so a streaming writer never
+    materializes the full event list.
     """
     tids: Dict[str, int] = {}
     tracks = sorted({s.track for s in spans or ()}, key=_track_order)
-    if tracer is not None and len(tracer):
-        tracks.append("events")
     for tid, track in enumerate(tracks):
         tids[track] = tid
         yield {
@@ -149,38 +144,23 @@ def iter_chrome_trace_events(
             "args": {k: str(v) for k, v in span.args.items()},
         }
     yield from flow_events(spans, tids, pid)
-    if tracer is not None:
-        tid = tids.get("events", 0)
-        for rec in tracer:
-            yield {
-                "ph": "i",
-                "s": "t",
-                "name": f"{rec.category}.{rec.name}",
-                "cat": rec.category,
-                "pid": pid,
-                "tid": tid,
-                "ts": rec.time * 1e6,
-                "args": {k: str(v) for k, v in rec.payload.items()},
-            }
 
 
 def chrome_trace_events(
     spans: Optional[Sequence[SpanRecord]] = None,
-    tracer: Optional["Tracer"] = None,
     pid: int = 0,
 ) -> List[Dict[str, Any]]:
-    """The ``traceEvents`` list for the given spans and trace records."""
-    return list(iter_chrome_trace_events(spans, tracer, pid))
+    """The ``traceEvents`` list for the given spans."""
+    return list(iter_chrome_trace_events(spans, pid))
 
 
 def chrome_trace(
     spans: Optional[Sequence[SpanRecord]] = None,
-    tracer: Optional["Tracer"] = None,
     metadata: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
     """A complete JSON-object-format Chrome trace document."""
     doc: Dict[str, Any] = {
-        "traceEvents": chrome_trace_events(spans, tracer),
+        "traceEvents": chrome_trace_events(spans),
         "displayTimeUnit": "ms",
     }
     if metadata:
@@ -191,7 +171,6 @@ def chrome_trace(
 def write_chrome_trace(
     path: str,
     spans: Optional[Sequence[SpanRecord]] = None,
-    tracer: Optional["Tracer"] = None,
     metadata: Optional[Dict[str, Any]] = None,
 ) -> int:
     """Stream the trace document to ``path``; returns the event count.
@@ -205,7 +184,7 @@ def write_chrome_trace(
     count = 0
     with open(path, "w") as fh:
         fh.write('{"traceEvents": [')
-        for ev in iter_chrome_trace_events(spans, tracer):
+        for ev in iter_chrome_trace_events(spans):
             if count:
                 fh.write(",\n")
             fh.write(json.dumps(ev))
@@ -215,33 +194,6 @@ def write_chrome_trace(
             fh.write(', "otherData": ')
             fh.write(json.dumps({k: str(v) for k, v in metadata.items()}))
         fh.write("}")
-    return count
-
-
-def _event_line(rec) -> str:
-    return json.dumps(
-        {
-            "time": rec.time,
-            "category": rec.category,
-            "name": rec.name,
-            "payload": {k: str(v) for k, v in rec.payload.items()},
-        }
-    )
-
-
-def events_jsonl(tracer: "Tracer") -> str:
-    """Tracer records as one JSON object per line."""
-    return "\n".join(_event_line(rec) for rec in tracer)
-
-
-def write_events_jsonl(path: str, tracer: "Tracer") -> int:
-    """Stream tracer records to a JSONL file; returns the line count."""
-    count = 0
-    with open(path, "w") as fh:
-        for rec in tracer:
-            fh.write(_event_line(rec))
-            fh.write("\n")
-            count += 1
     return count
 
 

@@ -47,8 +47,9 @@ def load_trace(path: str) -> Tuple[List[SpanRecord], Dict[str, Any]]:
     """Reconstruct spans from an exported Chrome trace document.
 
     Complete (``"ph": "X"``) events become :class:`SpanRecord` objects;
-    ``thread_name`` metadata recovers the track names.  Flow/instant
-    events are ignored (links are not needed by the detection rules).
+    ``thread_name`` metadata recovers the track names.  Flow events
+    and any other phase are ignored (links are not needed by the
+    detection rules).
     Returns ``(spans, otherData)``.
     """
     with open(path) as fh:

@@ -18,13 +18,13 @@ Public surface:
   network events, device events and stream completions)
 * :class:`Channel`, :class:`Semaphore`, :class:`Lock`,
   :class:`Barrier` — blocking coordination primitives in virtual time
-* :class:`Tracer` — structured event trace used by tests and the bench
-  harness
+
+Telemetry (spans, metrics, exports) lives in :mod:`repro.obs`; the
+components that emit into it keep their own counters as well.
 """
 
 from repro.sim.core import Simulator, Task, TaskState
 from repro.sim.sync import Future, Channel, Semaphore, Lock, Barrier
-from repro.sim.trace import Tracer, TraceRecord
 
 __all__ = [
     "Simulator",
@@ -35,6 +35,4 @@ __all__ = [
     "Semaphore",
     "Lock",
     "Barrier",
-    "Tracer",
-    "TraceRecord",
 ]

@@ -86,14 +86,15 @@ class ConfigurationError(ReproError):
 
 
 class PercentileError(ConfigurationError, ValueError):
-    """An invalid percentile rank ``q`` (outside ``[0, 1]``).
+    """An invalid percentile rank ``q`` (outside ``[0, 1]``, or NaN).
 
-    The unified taxonomy for every percentile surface: historically
-    :func:`repro.obs.rollup.exact_percentile` raised
-    :class:`ConfigurationError` while
-    ``ServiceResult.queue_wait_percentile`` raised :class:`ValueError`
-    for the same misuse.  Both now raise this class, which inherits
-    from *both* bases so existing ``except`` clauses keep working.
+    The one error every percentile surface raises: the bucketed
+    ``HistogramStats.percentile`` and the exact
+    :func:`repro.obs.rollup.exact_percentile`, which
+    ``WindowStats.percentile`` and
+    ``ServiceResult.queue_wait_percentile`` delegate to.  It inherits
+    from *both* :class:`ConfigurationError` and :class:`ValueError` so
+    existing ``except`` clauses keep working.
     """
 
 

@@ -10,7 +10,6 @@ from repro.core.directives import execute_pragma
 from repro.gasnet import GasnetConduit
 from repro.hardware import platform_a
 from repro.mpi import MpiWorld, Window
-from repro.sim import Tracer
 from repro.util.errors import CommunicationError
 from repro.util.units import KiB, MiB
 
@@ -203,14 +202,20 @@ class TestMultipleWindows:
         assert (b1.as_array(np.float64) == 0.0).all()  # other window untouched
 
 
-class TestWorldTracer:
-    def test_custom_tracer_injected(self):
-        tracer = Tracer()
-        w = World(platform_a(with_quirk=False), num_nodes=1, tracer=tracer)
-        assert w.tracer is tracer
+class TestWorldDevices:
+    def test_rank_mallocs_land_in_device_memory(self):
+        w = World(platform_a(with_quirk=False), num_nodes=1)
+        before = {dev_id: d.memory.live_bytes for dev_id, d in w.devices.items()}
 
         def prog(ctx):
-            ctx.device.malloc(64)
+            buf = ctx.device.malloc(64)
+            if ctx.rank == 0:
+                ctx.device.free(buf)
 
         run_spmd(w, prog)
-        assert tracer.count("device", "malloc") == w.nranks  # one per rank
+        grown = {
+            dev_id: d.memory.live_bytes - before[dev_id]
+            for dev_id, d in w.devices.items()
+        }
+        # one 64-byte allocation per rank; rank 0 freed its own
+        assert sorted(grown.values()) == [0] + [64] * (w.nranks - 1)

@@ -4,16 +4,16 @@ import pytest
 
 from repro.hardware import platform_a, platform_c
 from repro.network import Fabric
-from repro.sim import Simulator, Tracer
+from repro.sim import Simulator
 from repro.util.errors import CommunicationError
 from repro.util.units import KiB, MiB
 
 
-def make_fabric(nodes=2, platform=None, tracer=None):
+def make_fabric(nodes=2, platform=None):
     sim = Simulator()
     spec = platform or platform_a(with_quirk=False)
     topo = spec.cluster(nodes)
-    return sim, topo, Fabric(sim, topo, tracer=tracer)
+    return sim, topo, Fabric(sim, topo)
 
 
 class TestUnloadedTransfers:
@@ -156,20 +156,21 @@ class TestAccounting:
         assert fab.total_transfers == 2
         assert fab.total_bytes == 300
 
-    def test_tracing(self):
-        tracer = Tracer()
-        sim, topo, fab = make_fabric(tracer=tracer)
-        tracer.bind_clock(lambda: sim.now)
+    def test_transfer_record_and_totals(self):
+        sim, topo, fab = make_fabric()
+        records = []
 
         def prog():
-            fab.transfer(topo.gpu(0, 0), topo.gpu(1, 0), 4 * KiB).wait()
+            records.append(
+                fab.transfer(topo.gpu(0, 0), topo.gpu(1, 0), 4 * KiB).wait()
+            )
 
         sim.spawn(prog)
         sim.run()
-        assert tracer.count("fabric", "transfer") == 1
-        rec = tracer.last("fabric", "transfer")
-        assert rec.payload["nbytes"] == 4 * KiB
-        assert rec.payload["kind"] == "inter-node"
+        assert (fab.total_transfers, fab.total_bytes) == (1, 4 * KiB)
+        (rec,) = records
+        assert rec.nbytes == 4 * KiB
+        assert rec.path.kind.value == "inter-node"
 
     def test_quirk_visible_in_achieved_bandwidth(self):
         from repro.hardware import platform_a as pa

@@ -1,18 +1,20 @@
-"""Tests for span profiling, Chrome-trace/JSONL export, and the
-dashboard."""
+"""Tests for span profiling, Chrome-trace export, and the dashboard."""
 
 import json
 
+import numpy as np
+
 from repro.bench.profile import ProfileConfig, run_profiled_cannon, write_profile
+from repro.cluster import World, run_spmd
+from repro.core import DiompParams, DiompRuntime
+from repro.hardware import platform_a
 from repro.obs import Observability
 from repro.obs.export import (
     chrome_trace,
     chrome_trace_events,
-    events_jsonl,
     render_dashboard,
     write_metrics_snapshot,
 )
-from repro.sim.trace import Tracer
 
 
 def make_obs(times):
@@ -69,26 +71,22 @@ class TestChromeTrace:
         obs = make_obs([0.0, 1e-6])
         with obs.span("rma.put", rank=0, target=1):
             pass
-        tracer = Tracer(clock=lambda: 2e-6)
-        tracer.emit("streams", "create", device="gpu0")
-        doc = chrome_trace(obs.spans, tracer, metadata={"run": "test"})
+        doc = chrome_trace(obs.spans, metadata={"run": "test"})
         assert doc["displayTimeUnit"] == "ms"
         assert doc["otherData"] == {"run": "test"}
         events = doc["traceEvents"]
         by_ph = {}
         for e in events:
             by_ph.setdefault(e["ph"], []).append(e)
-        # track-name metadata for rank0 and the tracer's events track
+        assert set(by_ph) == {"M", "X"}
+        # track-name metadata for the one span track
         names = [e["args"]["name"] for e in by_ph["M"]]
-        assert names == ["rank0", "events"]
+        assert names == ["rank0"]
         (span_ev,) = by_ph["X"]
         assert span_ev["name"] == "rma.put"
         assert span_ev["ts"] == 0.0
         assert span_ev["dur"] == 1.0  # microseconds
         assert span_ev["args"] == {"rank": "0", "target": "1"}
-        (inst,) = by_ph["i"]
-        assert inst["name"] == "streams.create"
-        assert inst["s"] == "t"
         # everything must be JSON-serializable
         json.dumps(doc)
 
@@ -102,39 +100,39 @@ class TestChromeTrace:
         assert names == ["rank0", "rank1", "rank2", "rank10"]
 
     def test_empty_inputs(self):
-        assert chrome_trace_events([], None) == []
-        doc = chrome_trace(None, None)
+        assert chrome_trace_events([]) == []
+        doc = chrome_trace(None)
         assert doc["traceEvents"] == []
 
+    def test_real_run_names_every_track_once(self):
+        """A run_spmd world's trace: one ``thread_name`` record per span
+        track, every slice and flow event on a named track, and only
+        metadata, slice and flow phases."""
+        w = World(platform_a(with_quirk=False), num_nodes=2, ranks_per_node=2)
+        DiompRuntime(w, DiompParams(segment_size=1 << 20))
 
-class TestJsonl:
-    def test_tracer_to_jsonl_roundtrip(self):
-        tracer = Tracer(clock=lambda: 1.5)
-        tracer.emit("rma", "put", nbytes=64)
-        tracer.emit("streams", "create")
-        lines = tracer.to_jsonl().splitlines()
-        assert len(lines) == 2
-        first = json.loads(lines[0])
-        assert first == {
-            "time": 1.5,
-            "category": "rma",
-            "name": "put",
-            "payload": {"nbytes": "64"},
-        }
-        assert events_jsonl(tracer) == tracer.to_jsonl()
+        def prog(ctx):
+            d = ctx.diomp
+            buf = d.alloc(256)
+            buf.typed(np.float64)[:] = float(ctx.rank)
+            d.barrier()
+            d.put((ctx.rank + 1) % ctx.nranks, buf, buf.memref())
+            d.fence()
+            d.barrier()
 
-    def test_tracer_enable_filters(self):
-        tracer = Tracer()
-        tracer.enable("keep")
-        tracer.emit("keep", "a")
-        tracer.emit("drop", "b")
-        assert [r.name for r in tracer] == ["a"]
-        tracer.enable("also")
-        tracer.emit("also", "c")
-        assert [r.name for r in tracer] == ["a", "c"]
-        tracer.enable_all()
-        tracer.emit("drop", "d")
-        assert [r.name for r in tracer] == ["a", "c", "d"]
+        run_spmd(w, prog)
+        events = w.obs.chrome_trace()["traceEvents"]
+        meta = [e for e in events if e["ph"] == "M"]
+        assert {e["name"] for e in meta} == {"thread_name"}
+        names = [e["args"]["name"] for e in meta]
+        assert sorted(names) == sorted({s.track for s in w.obs.spans})
+        named_tids = {e["tid"] for e in meta}
+        assert len(named_tids) == len(meta)
+        phases = {e["ph"] for e in events}
+        assert {"M", "X", "s", "f"} <= phases <= {"M", "X", "s", "t", "f"}
+        assert all(
+            e["tid"] in named_tids for e in events if e["ph"] in "Xstf"
+        )
 
 
 class TestProfileRun:
@@ -189,21 +187,16 @@ class TestStreamingWriters:
             pass
         with obs.span("b", rank=1):
             pass
-        tracer = Tracer()
-        tracer.bind_clock(lambda: 5e-6)
-        tracer.emit("cat", "evt", k=1)
-        return obs, tracer
+        return obs
 
     def test_streamed_trace_equals_buffered_doc(self, tmp_path):
         from repro.obs.export import write_chrome_trace
 
-        obs, tracer = self._populated()
+        obs = self._populated()
         path = tmp_path / "trace.json"
-        n = write_chrome_trace(
-            str(path), obs.spans, tracer, metadata={"run": "x"}
-        )
+        n = write_chrome_trace(str(path), obs.spans, metadata={"run": "x"})
         streamed = json.loads(path.read_text())
-        buffered = chrome_trace(obs.spans, tracer, metadata={"run": "x"})
+        buffered = chrome_trace(obs.spans, metadata={"run": "x"})
         assert streamed == buffered
         assert n == len(buffered["traceEvents"])
         assert streamed["otherData"] == {"run": "x"}
@@ -218,24 +211,10 @@ class TestStreamingWriters:
     def test_iter_events_matches_list(self):
         from repro.obs.export import iter_chrome_trace_events
 
-        obs, tracer = self._populated()
-        assert list(iter_chrome_trace_events(obs.spans, tracer)) == (
-            chrome_trace_events(obs.spans, tracer)
+        obs = self._populated()
+        assert list(iter_chrome_trace_events(obs.spans)) == (
+            chrome_trace_events(obs.spans)
         )
-
-    def test_write_events_jsonl(self, tmp_path):
-        from repro.obs.export import write_events_jsonl
-
-        tracer = Tracer()
-        tracer.bind_clock(lambda: 1e-6)
-        tracer.emit("cat", "one", a=1)
-        tracer.emit("cat", "two", b=2)
-        path = tmp_path / "events.jsonl"
-        assert write_events_jsonl(str(path), tracer) == 2
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 2
-        assert lines == events_jsonl(tracer).splitlines()
-        assert json.loads(lines[1])["name"] == "two"
 
 
 class TestHealthTable:

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.cluster import MemRef, World, run_spmd
+from repro.cluster import ClusterService, JobRequest, MemRef, World, run_spmd
 from repro.core import DiompParams, DiompRuntime
 from repro.hardware import platform_a
 from repro.obs import Observability, size_class
 from repro.obs.metrics import DEFAULT_BOUNDS, MetricsRegistry
-from repro.util.errors import ConfigurationError
+from repro.obs.rollup import exact_percentile
+from repro.obs.timeseries import WindowStats
+from repro.util.errors import ConfigurationError, PercentileError
 
 
 class TestCounter:
@@ -123,11 +125,6 @@ class TestPercentiles:
         from repro.obs.metrics import HistogramStats
 
         assert HistogramStats().percentile(0.5, h.bounds) == 0.0
-
-    def test_out_of_range_q_rejected(self):
-        h = self.make()
-        with pytest.raises(ConfigurationError, match="percentile"):
-            h.stats().percentile(1.5, h.bounds)
 
     def test_snapshot_carries_quantiles(self):
         h = self.make()
@@ -355,20 +352,51 @@ class TestRuntimeIntegration:
         assert res.metrics is None
 
 
+def _histogram_percentile(q):
+    h = MetricsRegistry().histogram("h")
+    h.observe(1.0)
+    return h.stats().percentile(q, h.bounds)
+
+
+def _window_percentile(q):
+    w = WindowStats(0.0, 1.0, max_samples=8)
+    w.observe(1.0)
+    return w.percentile(q)
+
+
+def _queue_wait_percentile(q):
+    service = ClusterService(World(platform_a(), num_nodes=1))
+    result = service.run(
+        [JobRequest(job_id=0, tenant="t", kind="allreduce", nodes=1)]
+    )
+    return result.queue_wait_percentile(q)
+
+
+#: every public "what is the q-th percentile" surface
+PERCENTILE_SURFACES = {
+    "histogram": _histogram_percentile,
+    "exact": lambda q: exact_percentile([1.0], q),
+    "window": _window_percentile,
+    "queue_wait": _queue_wait_percentile,
+}
+
+
+@pytest.mark.parametrize("surface", sorted(PERCENTILE_SURFACES))
+@pytest.mark.parametrize(
+    "q", [-0.01, 1.5, float("nan")], ids=["negative", "above_one", "nan"]
+)
+def test_bad_q_raises_percentile_error(q, surface):
+    """One error taxonomy: every surface rejects a bad ``q`` with
+    PercentileError, which both ``except ConfigurationError`` and
+    ``except ValueError`` catch."""
+    with pytest.raises(PercentileError, match="percentile") as info:
+        PERCENTILE_SURFACES[surface](q)
+    assert isinstance(info.value, ValueError)
+    assert isinstance(info.value, ConfigurationError)
+
+
 class TestPercentileEdgeCases:
     """S2 hardening: degenerate series and boundary q values."""
-
-    def test_nan_q_rejected(self):
-        h = MetricsRegistry().histogram("h")
-        h.observe(1.0)
-        with pytest.raises(ConfigurationError, match="percentile"):
-            h.stats().percentile(float("nan"), h.bounds)
-
-    def test_negative_q_rejected(self):
-        h = MetricsRegistry().histogram("h")
-        h.observe(1.0)
-        with pytest.raises(ConfigurationError, match="percentile"):
-            h.stats().percentile(-0.01, h.bounds)
 
     def test_single_observation_every_q(self):
         h = MetricsRegistry().histogram("h", bounds=(1, 10, 100))

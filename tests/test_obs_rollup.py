@@ -9,7 +9,6 @@ from repro.obs.rollup import (
     rollup_registry,
     rollup_snapshot,
 )
-from repro.util.errors import ConfigurationError
 
 
 class TestExactPercentile:
@@ -27,8 +26,6 @@ class TestExactPercentile:
     def test_edges(self):
         assert exact_percentile([], 0.5) == 0.0
         assert exact_percentile([7.0], 0.99) == 7.0
-        with pytest.raises(ConfigurationError):
-            exact_percentile([1.0], 1.5)
 
 
 def make_registry(nranks=8):

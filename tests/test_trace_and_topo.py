@@ -1,57 +1,20 @@
-"""Tests for the tracer and remaining topology/xccl helpers."""
+"""Tests for runtime activity counters and remaining topology/xccl
+helpers."""
 
 import pytest
 
 from repro.cluster import World, run_spmd
 from repro.core import DiompRuntime
 from repro.hardware import platform_a, platform_b
-from repro.sim import Simulator, Tracer
 from repro.util.units import MiB
 from repro.xccl import build_ring, ring_hop_latency
 
 
-class TestTracer:
-    def test_records_carry_virtual_time(self):
-        sim = Simulator()
-        tracer = Tracer(clock=lambda: sim.now)
-
-        def prog():
-            tracer.emit("cat", "start")
-            sim.sleep(1.5)
-            tracer.emit("cat", "end", detail=7)
-
-        sim.spawn(prog)
-        sim.run()
-        assert [r.time for r in tracer] == [0.0, 1.5]
-        assert tracer.last("cat", "end").payload["detail"] == 7
-
-    def test_category_filter(self):
-        tracer = Tracer()
-        tracer.enabled_categories = {"keep"}
-        tracer.emit("keep", "a")
-        tracer.emit("drop", "b")
-        assert tracer.count() == 1
-        assert tracer.count("keep") == 1
-
-    def test_select_and_count(self):
-        tracer = Tracer()
-        for i in range(3):
-            tracer.emit("x", "tick", i=i)
-        tracer.emit("x", "tock")
-        assert tracer.count("x", "tick") == 3
-        assert len(tracer.select("x")) == 4
-        with pytest.raises(LookupError):
-            tracer.last("nope")
-
-    def test_clear(self):
-        tracer = Tracer()
-        tracer.emit("a", "b")
-        tracer.clear()
-        assert len(tracer) == 0
-
-    def test_world_tracer_sees_runtime_activity(self):
+class TestRuntimeCounters:
+    def test_world_counters_see_runtime_activity(self):
         w = World(platform_a(with_quirk=False), num_nodes=1)
         DiompRuntime(w)
+        pools = {}
 
         def prog(ctx):
             g = ctx.diomp.alloc(1 * MiB, virtual=True)
@@ -60,18 +23,17 @@ class TestTracer:
                 ctx.diomp.put(1, g, g.memref())
                 ctx.diomp.fence()
             ctx.diomp.barrier()
+            pools[ctx.rank] = ctx.diomp.stream_pool()
 
         run_spmd(w, prog)
-        assert w.tracer.count("fabric", "transfer") >= 1
-        assert w.tracer.count("streams", "create") >= 1
-        assert w.tracer.count("streams", "hybrid_fence") >= 1
-        rec = w.tracer.last("fabric", "transfer")
-        assert rec.payload["kind"] == "peer-direct"  # IPC path taken
-
-    def test_record_str_renders(self):
-        tracer = Tracer()
-        tracer.emit("cat", "evt", a=1)
-        assert "cat.evt" in str(tracer.records[0])
+        reg = w.obs.registry
+        assert w.fabric.total_transfers >= 1
+        assert pools[0].created >= 1
+        assert reg.gauge("streams.active").high_water() >= 1
+        assert reg.histogram("streams.fence_iterations").count() >= 1
+        # the intra-node put took the IPC (peer-direct) path
+        assert reg.value("rma.ops", op="put", path="ipc") == 1
+        assert reg.value("rma.ops", op="put") == 1
 
 
 class TestRingHopLatency:
