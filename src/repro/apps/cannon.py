@@ -82,11 +82,13 @@ def _init_stripe(cfg: CannonConfig, rank: int, nranks: int, which: str) -> np.nd
     """Deterministic test matrices: A[i, j] = i - j, B[i, j] = i + j
     (small integers — exact in float64)."""
     ns = cfg.stripe(nranks)
-    rows = np.arange(rank * ns, (rank + 1) * ns, dtype=cfg.dtype)[:, None]
-    cols = np.arange(cfg.n, dtype=cfg.dtype)[None, :]
+    rows = np.arange(rank * ns, (rank + 1) * ns, dtype=np.int64)[:, None]
+    cols = np.arange(cfg.n, dtype=np.int64)[None, :]
+    # Integer modulo, then one cast: the same values as a float modulo
+    # (every result is a small non-negative integer, +0.0 included).
     if which == "A":
-        return (rows - cols) % 7
-    return (rows + cols) % 5
+        return ((rows - cols) % 7).astype(cfg.dtype)
+    return ((rows + cols) % 5).astype(cfg.dtype)
 
 
 def cannon_reference(cfg: CannonConfig, nranks: int) -> np.ndarray:

@@ -244,7 +244,8 @@ def _leapfrog_kernel(cfg: MinimodConfig, lo: int, hi: int) -> Kernel:
         r = cfg.radius
         core = u_pad[r:-r]
         prev = u_prev_pad[r:-r]
-        lap = _laplacian(u_pad, r)[lo:hi]
+        # Only padded planes [lo, hi + 2r) feed core planes [lo, hi).
+        lap = _laplacian(u_pad[lo : hi + 2 * r], r)
         prev[lo:hi] = (
             2.0 * core[lo:hi] - prev[lo:hi] + cfg.courant2 * lap
         ).astype(cfg.dtype)

@@ -13,6 +13,7 @@ depends on.  :class:`GlobalBuffer` is the user-visible handle.
 
 from __future__ import annotations
 
+import mmap
 from typing import Optional
 
 from repro.cluster.memref import MemRef
@@ -160,7 +161,11 @@ class HostSegment:
 
     A numpy arena registered once with the conduit; a heap allocator
     subdivides it with the same symmetric-offset discipline as the
-    device segments.
+    device segments.  The arena is its own private anonymous mapping,
+    not a heap block: its pages stay unbacked (and read as zero) until
+    touched, whatever the process freed before, and are unmapped when
+    the array dies.  ``MAP_PRIVATE`` keeps a forked child's writes out
+    of its parent.
     """
 
     def __init__(self, node: int, size: int, allocator_kind: str = "linear", owner_rank: int = 0) -> None:
@@ -169,8 +174,11 @@ class HostSegment:
         self.node = node
         self.size = size
         self.owner_rank = owner_rank
-        self.arena = np.zeros(size, dtype=np.uint8)
+        # The allocator rejects a non-positive size before anything is mapped.
         self.allocator = make_allocator(allocator_kind, size)
+        self.arena = np.frombuffer(
+            mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE), dtype=np.uint8
+        )
         #: synthetic base address assigned at conduit registration
         self.base: Optional[int] = None
         self.conduit_segment = None

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -91,6 +91,13 @@ class DiompParams:
     alloc_coordination_overhead: float = 3.0 * US
 
 
+def _diverged(what: str, values: Dict[int, object]) -> Optional[str]:
+    """A rendezvous ``check``: an error message unless every rank sent
+    the same value."""
+    distinct = set(values.values())
+    return None if len(distinct) == 1 else f"{what}: {distinct}"
+
+
 class _Rendezvous:
     """All-ranks arrival point carrying per-rank payloads."""
 
@@ -98,7 +105,8 @@ class _Rendezvous:
         self.size = size
         self.payloads: Dict[int, object] = {}
         self.waiters: List[Future] = []
-        self.result: object = None
+        #: the last arrival's ``check`` verdict (an error message or None)
+        self.error: Optional[str] = None
 
 
 class DiompRuntime:
@@ -234,10 +242,22 @@ class DiompRuntime:
 
     # -- collective rendezvous machinery ------------------------------------------
 
-    def rendezvous(self, kind: str, seq: int, rank: int, payload: object, size: int):
-        """Arrive at a collective point; the last arrival computes
-        nothing (caller does) but everyone leaves together with access
-        to all payloads.  Returns the payload dict."""
+    def rendezvous(
+        self,
+        kind: str,
+        seq: int,
+        rank: int,
+        payload: object,
+        size: int,
+        check: Optional[Callable[[Dict[int, object]], Optional[str]]] = None,
+    ):
+        """Arrive at a collective point; everyone leaves together with
+        access to all payloads.  Returns the payload dict.
+
+        ``check``, if given, runs once, on the last arrival, over the
+        payload dict, so validating a collective costs O(P) and not
+        O(P) per rank.  A message it returns is raised as
+        :class:`CommunicationError` on every rank."""
         key = (kind, seq)
         state = self._rendezvous.get(key)
         if state is None:
@@ -255,9 +275,13 @@ class DiompRuntime:
             fut.wait()
         else:
             del self._rendezvous[key]
+            if check is not None:
+                state.error = check(state.payloads)
             waiters, state.waiters = state.waiters, []
             for fut in waiters:
                 fut.fire()
+        if state.error is not None:
+            raise CommunicationError(state.error)
         return state.payloads
 
 
@@ -337,27 +361,24 @@ class Diomp:
         seq = self._alloc_seq
         self._alloc_seq += 1
         self.ctx.sim.sleep(self.runtime.params.alloc_coordination_overhead)
-        payloads = self.runtime.rendezvous(
-            "sym-alloc", seq, self.rank, (nbytes, device_num), self.nranks
+        self.runtime.rendezvous(
+            "sym-alloc", seq, self.rank, (nbytes, device_num), self.nranks,
+            check=lambda requests: _diverged(
+                f"symmetric allocation mismatch at #{seq} (use alloc_asymmetric "
+                "for differing sizes); (nbytes, device) requests",
+                requests,
+            ),
         )
-        sizes = {p[0] for p in payloads.values()}
-        devs = {p[1] for p in payloads.values()}
-        if len(sizes) != 1 or len(devs) != 1:
-            raise CommunicationError(
-                f"symmetric allocation mismatch at #{seq}: sizes={sizes} "
-                f"devices={devs}; use alloc_asymmetric for differing sizes"
-            )
         seg = self.segment(device_num)
         offset = seg.sym_alloc(nbytes)
         virtual = virtual or self.runtime.world.analytic
         local = seg.place(offset, nbytes, virtual, f"sym#{seq}")
-        check = self.runtime.rendezvous(
-            "sym-alloc-verify", seq, self.rank, offset, self.nranks
+        self.runtime.rendezvous(
+            "sym-alloc-verify", seq, self.rank, offset, self.nranks,
+            check=lambda offsets: _diverged(
+                f"symmetric offsets diverged at #{seq}", offsets
+            ),
         )
-        if len(set(check.values())) != 1:  # pragma: no cover - invariant
-            raise CommunicationError(
-                f"symmetric offsets diverged at #{seq}: {check}"
-            )
         return GlobalBuffer(self.rank, device_num, offset, nbytes, local)
 
     def free(self, gbuf: GlobalBuffer) -> None:
@@ -382,14 +403,12 @@ class Diomp:
         seq = self._alloc_seq
         self._alloc_seq += 1
         self.ctx.sim.sleep(self.runtime.params.alloc_coordination_overhead)
-        payloads = self.runtime.rendezvous(
-            "host-alloc", seq, self.rank, nbytes, self.nranks
+        self.runtime.rendezvous(
+            "host-alloc", seq, self.rank, nbytes, self.nranks,
+            check=lambda sizes: _diverged(
+                f"host symmetric allocation mismatch at #{seq}", sizes
+            ),
         )
-        if len(set(payloads.values())) != 1:
-            raise CommunicationError(
-                f"host symmetric allocation mismatch at #{seq}: "
-                f"{set(payloads.values())}"
-            )
         hseg = self.runtime.host_segment_of(self.rank)
         offset = hseg.allocator.alloc(nbytes)
         self.runtime.obs.gauge(
@@ -441,11 +460,11 @@ class Diomp:
         # second-level dereference reads).
         slot_buf.as_array(np.int64, count=1)[0] = data_addr
         payloads = self.runtime.rendezvous(
-            "asym-alloc", seq, self.rank, (nbytes, data_addr, slot_offset), self.nranks
+            "asym-alloc", seq, self.rank, (nbytes, data_addr, slot_offset), self.nranks,
+            check=lambda ps: _diverged(
+                "second-level slots diverged", {r: p[2] for r, p in ps.items()}
+            ),
         )
-        slots = {p[2] for p in payloads.values()}
-        if len(slots) != 1:  # pragma: no cover - invariant
-            raise CommunicationError(f"second-level slots diverged: {slots}")
         sizes = tuple(payloads[r][0] for r in range(self.nranks))
         addrs = tuple(payloads[r][1] for r in range(self.nranks))
         buf = AsymmetricBuffer(

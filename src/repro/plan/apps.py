@@ -16,8 +16,9 @@ derives mechanically what the hand-written variants encode by hand:
 
 Numerics are bit-identical to the hand-written paths on every backend:
 the plan kernels are the same :class:`~repro.device.kernel.Kernel`
-objects (leapfrog slab updates compute the same full-field Laplacian
-and elementwise update as the in-place stencil, so even the naive
+objects (a leapfrog slab update computes the Laplacian of only the
+planes it reads, ``[lo, hi + 2r)`` of the padded field, with the same
+per-element operations as the in-place stencil, so even the naive
 in-place path matches bitwise).
 """
 
@@ -158,7 +159,8 @@ def minimod_plan(cfg: MinimodConfig, nranks: int) -> CommPlan:
     def compute(op_id: str, lo: int, hi: int) -> PlanOp:
         # A leapfrog update of core planes [lo, hi): the result depends
         # on u planes [lo, hi + 2r) of the padded field and on prev
-        # planes [lo + r, hi + r); it writes the latter range.
+        # planes [lo + r, hi + r); it writes the latter range.  The
+        # kernel reads exactly these ranges, nothing outside them.
         return PlanOp(
             op_id=op_id,
             kind="compute",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.apps import CannonConfig, cannon_reference, run_cannon
+from repro.apps.cannon import _init_stripe
 from repro.cluster import World
 from repro.hardware import platform_a, platform_b
 from repro.util.errors import ConfigurationError
@@ -50,6 +51,24 @@ class TestCorrectness:
         w = World(platform_a(with_quirk=False), num_nodes=1)
         with pytest.raises(ConfigurationError, match="implementation"):
             run_cannon(w, CannonConfig(n=32), impl="nccl")
+
+
+class TestInitStripe:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("nranks", [1, 3, 8])
+    def test_matches_float_modulo(self, dtype, nranks):
+        """The integer-modulo stripes equal the defining float formula
+        bit for bit, sign of zero included."""
+        cfg = CannonConfig(n=48, dtype=dtype)
+        ns = cfg.stripe(nranks)
+        for rank in range(nranks):
+            rows = np.arange(rank * ns, (rank + 1) * ns, dtype=dtype)[:, None]
+            cols = np.arange(cfg.n, dtype=dtype)[None, :]
+            for which, want in (("A", (rows - cols) % 7), ("B", (rows + cols) % 5)):
+                got = _init_stripe(cfg, rank, nranks, which)
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestTiming:

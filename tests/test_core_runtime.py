@@ -74,6 +74,36 @@ class TestSymmetricAlloc:
         with pytest.raises(CommunicationError, match="mismatch"):
             run_spmd(w, prog)
 
+    def test_mismatch_raised_on_every_rank(self):
+        w, rt = make()
+        errors = {}
+
+        def prog(ctx):
+            try:
+                ctx.diomp.alloc(4 * KiB, device_num=0 if ctx.rank != 2 else 1)
+            except CommunicationError as exc:
+                errors[ctx.rank] = str(exc)
+
+        run_spmd(w, prog)
+        assert sorted(errors) == list(range(w.nranks))
+        assert len(set(errors.values())) == 1
+        assert "(4096, 1)" in errors[0]
+
+    def test_rendezvous_check_runs_once(self):
+        w, rt = make()
+        calls = []
+
+        def check(payloads):
+            calls.append(dict(payloads))
+            return None
+
+        def prog(ctx):
+            return rt.rendezvous("probe", 0, ctx.rank, ctx.rank * 2, w.nranks, check=check)
+
+        res = run_spmd(w, prog)
+        assert calls == [{r: 2 * r for r in range(w.nranks)}]
+        assert all(out == calls[0] for out in res.results)
+
     def test_free_and_reuse_offset(self):
         w, rt = make(nodes=1)
         offsets = {}

@@ -1,7 +1,15 @@
 """Tests for host-side global memory (omp_alloc) and host compute."""
 
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
+
+import repro
 
 from repro.cluster import MemRef, World, run_spmd
 from repro.core import DiompRuntime
@@ -13,6 +21,61 @@ from repro.util.errors import CommunicationError, ConfigurationError
 def make(nodes=2):
     w = World(platform_a(with_quirk=False), num_nodes=nodes)
     return w, DiompRuntime(w)
+
+
+_ARENA_PROBE = textwrap.dedent(
+    """
+    import gc, resource
+    from repro.cluster import World
+    from repro.core import DiompRuntime
+    from repro.hardware import platform_a
+
+    def maxrss_mb():
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+    # Freeing a 16 MiB mmap'd block raises glibc's dynamic mmap
+    # threshold above it, so later 16 MiB heap requests come from the
+    # heap, zero-filled and resident.
+    DiompRuntime(World(platform_a(), num_nodes=2))
+    gc.collect()
+    before = maxrss_mb()
+    DiompRuntime(World(platform_a(), num_nodes=256, analytic=True))
+    print(maxrss_mb() - before)
+    """
+)
+
+
+class TestHostArena:
+    def test_arena_pages_stay_unbacked_whatever_ran_before(self):
+        """1024 ranks reserve 16 GiB of host arenas; after an earlier
+        runtime was dropped they must still cost almost no resident
+        memory.  Runs in a fresh interpreter with default malloc
+        settings so this process's heap history cannot mask it."""
+        env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+        src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", _ARENA_PROBE],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        growth_mb = float(out.stdout.strip().splitlines()[-1])
+        assert growth_mb < 48, f"1024-rank runtime grew peak RSS by {growth_mb:.0f} MB"
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_arena_is_zeroed_writable_and_private(self):
+        w, rt = make(nodes=1)
+        arena = rt.host_segment_of(0).arena
+        assert arena.dtype == np.uint8 and arena.size == rt.params.host_segment_size
+        assert arena.flags.writeable and not arena.any()
+        arena[:8] = 7
+        assert not rt.host_segment_of(1).arena[:8].any()
+        # A forked child's writes must not reach the parent's arena.
+        pid = os.fork()
+        if pid == 0:
+            arena[:8] = 9
+            os._exit(0)
+        os.waitpid(pid, 0)
+        assert (arena[:8] == 7).all()
 
 
 class TestHostAlloc:

@@ -4,7 +4,7 @@ runtime finalize (extension features)."""
 import numpy as np
 import pytest
 
-from repro.apps import MinimodConfig, minimod_reference, run_minimod
+from repro.apps import MinimodConfig, minimod, minimod_reference, run_minimod
 from repro.cluster import MemRef, World, run_spmd
 from repro.core import DiompRuntime
 from repro.hardware import platform_a
@@ -51,6 +51,81 @@ class TestMinimodOverlap:
         w = World(platform_a(with_quirk=False), num_nodes=1)
         with pytest.raises(ConfigurationError, match="overlap"):
             run_minimod(w, cfg, impl="diomp-overlap")
+
+
+def _slab_ranges(lnx, r):
+    """Every (lo, hi) the overlap and plan Minimod launch for a slab."""
+    return {
+        "interior": (r, lnx - r),
+        "left": (0, r),
+        "right": (lnx - r, lnx),
+        "full-slab": (0, lnx),
+    }
+
+
+class TestLeapfrogKernel:
+    """A slab update reads only the planes its plan op declares and
+    produces exactly what the full-field Laplacian would."""
+
+    @pytest.mark.parametrize(
+        "lnx, part",
+        # A slab of exactly 2r = 8 planes has no interior.
+        [(8, p) for p in ("left", "right", "full-slab")]
+        + [(n, p) for n in (9, 16, 32) for p in ("interior", "left", "right", "full-slab")],
+    )
+    def test_matches_full_field_update(self, lnx, part):
+        cfg = MinimodConfig(nx=lnx, ny=6, nz=5, steps=1)
+        r = cfg.radius
+        lo, hi = _slab_ranges(lnx, r)[part]
+        shape = (lnx + 2 * r, cfg.ny, cfg.nz)
+        rng = np.random.default_rng(lnx * 31 + lo)
+        for _trial in range(3):
+            u_pad = rng.standard_normal(shape).astype(np.float32)
+            u_prev_pad = rng.standard_normal(shape).astype(np.float32)
+            # Exact zeros of both signs exercise the sign-bit check.
+            u_pad.flat[::7] = -0.0
+            u_prev_pad.flat[::5] = 0.0
+            core = u_pad[r:-r]
+            prev0 = u_prev_pad.copy()
+            expected = (
+                2.0 * core[lo:hi]
+                - prev0[r:-r][lo:hi]
+                + cfg.courant2 * minimod._laplacian(u_pad, r)[lo:hi]
+            ).astype(cfg.dtype)
+            u_before = u_pad.copy()
+            minimod._leapfrog_kernel(cfg, lo, hi).host_fn(u_pad, u_prev_pad)
+            got = u_prev_pad[r:-r][lo:hi]
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
+            assert np.array_equal(np.signbit(got), np.signbit(expected))
+            # Nothing outside core planes [lo, hi) of prev moves, and u
+            # is only read.
+            untouched = np.ones(shape[0], dtype=bool)
+            untouched[lo + r : hi + r] = False
+            assert np.array_equal(
+                u_prev_pad[untouched].view(np.uint32),
+                prev0[untouched].view(np.uint32),
+            )
+            assert np.array_equal(u_pad.view(np.uint32), u_before.view(np.uint32))
+
+    @pytest.mark.parametrize("part", ["interior", "left", "right", "full-slab"])
+    def test_laplacian_sees_only_declared_planes(self, monkeypatch, part):
+        cfg = MinimodConfig(nx=16, ny=4, nz=4, steps=1)
+        r, lnx = cfg.radius, 16
+        lo, hi = _slab_ranges(lnx, r)[part]
+        planes = []
+        real = minimod._laplacian
+
+        def recording(u, radius):
+            planes.append(u.shape[0])
+            return real(u, radius)
+
+        monkeypatch.setattr(minimod, "_laplacian", recording)
+        shape = (lnx + 2 * r, cfg.ny, cfg.nz)
+        minimod._leapfrog_kernel(cfg, lo, hi).host_fn(
+            np.ones(shape, np.float32), np.zeros(shape, np.float32)
+        )
+        assert planes == [hi - lo + 2 * r]
 
 
 class TestMpiAccumulate:
